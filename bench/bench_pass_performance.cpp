@@ -177,25 +177,13 @@ BENCHMARK(BM_ExecEngineDecode);
 /// decoded row must beat the tree-walk row. CI prints both.
 void BM_ExecEngineVsTreeWalk(benchmark::State &State) {
   auto M = suiteModule();
-  // 0 = tree-walk reference, 1 = decoded engine (superinstruction fusion
-  // on, the shipping configuration), 2 = decoded engine with fusion off —
-  // the delta between 1 and 2 is the fusion win in isolation.
-  const int Mode = int(State.range(0));
+  const bool Decoded = State.range(0) == 1;
   uint64_t Instructions = 0;
   for (auto _ : State) {
     ExecResult R;
-    if (Mode == 1) {
+    if (Decoded) {
       Interpreter I(*M); // decode served from the cache after run one
       R = I.run();
-    } else if (Mode == 2) {
-      auto Prog = DecodeCache::global().get(*M, DecodeOptions{false});
-      PrivateExecMemory Mem(*Prog);
-      ExecContext Ctx;
-      Ctx.pushFrame(*Prog->findFunction("main"));
-      ExecStop Stop = runEngine(*Prog, Mem, Ctx, DefaultExecHooks());
-      R.Ok = Stop == ExecStop::Returned;
-      R.ReturnValue = Ctx.Returned;
-      R.Instructions = Ctx.Steps;
     } else {
       TreeWalkInterpreter I(*M);
       R = I.run();
@@ -206,16 +194,12 @@ void BM_ExecEngineVsTreeWalk(benchmark::State &State) {
     benchmark::DoNotOptimize(R.ReturnValue.asInt());
   }
   State.counters["instrs"] = double(Instructions);
-  if (Mode == 1)
-    State.counters["fused_pairs"] =
-        double(DecodeCache::global().get(*M)->fusedPairs());
   State.SetItemsProcessed(int64_t(State.iterations()) *
                           int64_t(Instructions));
 }
 BENCHMARK(BM_ExecEngineVsTreeWalk)
     ->Arg(0) // tree-walk baseline
-    ->Arg(1) // decoded engine, fused
-    ->Arg(2) // decoded engine, fusion disabled
+    ->Arg(1) // decoded engine
     ->Unit(benchmark::kMillisecond);
 
 void BM_PipelineStringParse(benchmark::State &State) {

@@ -17,16 +17,9 @@
 /// the engine with the default hooks and the callbacks (and the edge
 /// bookkeeping feeding them) vanish entirely from the hot loop.
 ///
-/// The loop dispatches on the decode-time XOpcode key, so superinstructions
-/// (fused cmp+condbr, add+load, add+store, sync pairs) execute both halves
-/// of a pair in one dispatch; every fused handler preserves the unfused
-/// engine's step accounting, observer ordering and trap points exactly.
-/// Dispatch is a portable switch by default; defining HELIX_COMPUTED_GOTO
-/// (CMake option of the same name) selects token-threaded dispatch via
-/// GCC/Clang computed goto — one jump table per handler so the branch
-/// predictor sees per-opcode history. Both modes share the handler bodies
-/// below; the flag is applied project-wide, so every translation unit
-/// instantiates the same definition.
+/// The loop is one `switch` over the decoded opcode. Step and cycle
+/// accounting is deferred to control transfers (see runEngine), so the
+/// per-instruction fast path is the handler body plus one budget compare.
 ///
 /// Registers live in one contiguous per-context register stack: a frame is
 /// just a window [RegBase, RegBase + NumRegs) and call/return slide the
@@ -89,10 +82,7 @@ protected:
 /// during the run, in the same order the tree-walk interpreter always
 /// used: non-control instructions report after executing, control
 /// instructions report before transferring, edges report after the
-/// transfer. Observers see one event per *original* instruction even when
-/// the engine executes a fused superinstruction (drivers that need a
-/// strictly sequential event stream run the unfused decode by convention —
-/// sim/Interpreter selects it automatically when an observer attaches).
+/// transfer.
 class ExecObserver {
 public:
   virtual ~ExecObserver();
@@ -174,9 +164,6 @@ struct ExecContext {
   uint64_t Steps = 0;
   uint64_t MaxSteps = ExecLimits::DefaultMaxSteps;
   uint64_t Cycles = 0;
-  /// Instructions executed as halves of fused superinstructions (a subset
-  /// of Steps; published as "exec.dispatch.steps_fused").
-  uint64_t StepsFused = 0;
 
   /// The register window of \p Fr. Invalidated by RegStack growth
   /// (pushFrame or the engine's Call handler) — re-derive after either.
@@ -308,8 +295,7 @@ struct DefaultExecHooks {
   static constexpr bool WantsInstruction = false;
   static constexpr bool WantsEdges = false;
 
-  /// After the original instruction \p Src executed. Fires once per
-  /// original instruction even inside fused superinstructions.
+  /// After the instruction \p Src executed.
   void onInstruction(const Instruction *Src, unsigned Cycles) {
     (void)Src;
     (void)Cycles;
@@ -354,29 +340,6 @@ struct ObserverExecHooks : DefaultExecHooks {
 // The dispatch loop
 //===----------------------------------------------------------------------===//
 
-// Both dispatch modes share every handler body below; only how control
-// reaches a handler differs. Handlers exit with `goto step_done` (ordinary
-// instruction: post-report, PC+1), `goto dispatch` (control transfer, PC
-// already set) or `goto reframe` (call/return: re-derive cached frame
-// state) — all three labels are ordinary labels valid in both modes.
-#if defined(HELIX_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define HELIX_ENGINE_THREADED 1
-#define HELIX_DISPATCH_BEGIN(KEY) goto *JumpTable[uint8_t(KEY)];
-#define HELIX_CASE(N) xop_##N:
-#define HELIX_DISPATCH_END()
-#else
-#define HELIX_ENGINE_THREADED 0
-#define HELIX_DISPATCH_BEGIN(KEY) switch (KEY) {
-#define HELIX_CASE(N) case XOpcode::N:
-// Every dispatch key is covered above: telling the optimizer so deletes
-// the jump-table bounds check from the hottest branch in the process.
-#define HELIX_DISPATCH_END()                                                   \
-  default:                                                                     \
-    assert(!"invalid dispatch key");                                           \
-    HELIX_UNREACHABLE_HINT();                                                  \
-    }
-#endif
-
 /// Runs \p Ctx until its base frame returns, a hook stops it, or it traps.
 /// The context must have at least one frame. Instantiated per
 /// (memory model, hook set) pair so unwanted observation costs nothing.
@@ -386,50 +349,34 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
   using HT = std::remove_reference_t<HooksT>;
   const Value *Consts = P.constants().data();
 
-  // Publish this call's dispatched-instruction counts into the process-wide
-  // metrics registry ("exec.dispatch.steps" / "exec.dispatch.steps_fused")
-  // on every exit path: one relaxed atomic add per runEngine call, never
-  // per instruction, so the hot loop below is untouched. The registry
-  // lookups resolve once per template instantiation.
+  // Publish this call's dispatched-instruction count into the process-wide
+  // metrics registry ("exec.dispatch.steps") on every exit path: one
+  // relaxed atomic add per runEngine call, never per instruction, so the
+  // hot loop below is untouched. The registry lookup resolves once per
+  // template instantiation.
   static obs::Counter &DispatchSteps =
       obs::MetricsRegistry::global().counter("exec.dispatch.steps");
-  static obs::Counter &DispatchStepsFused =
-      obs::MetricsRegistry::global().counter("exec.dispatch.steps_fused");
   struct StepsPublisher {
     ExecContext &Ctx;
-    uint64_t StartSteps, StartFused;
-    ~StepsPublisher() {
-      DispatchSteps.add(Ctx.Steps - StartSteps);
-      DispatchStepsFused.add(Ctx.StepsFused - StartFused);
-    }
-  } Publish{Ctx, Ctx.Steps, Ctx.StepsFused};
+    uint64_t StartSteps;
+    ~StepsPublisher() { DispatchSteps.add(Ctx.Steps - StartSteps); }
+  } Publish{Ctx, Ctx.Steps};
 
   // Deferred step/cycle accounting. Within a straight-line segment the
-  // engine touches no counters at all: each original instruction is one
-  // step (fused pairs advance PC by 2 and spend 2 steps), so steps are the
-  // PC distance from the segment start, and cycle costs come from the
-  // decode-time prefix-sum table in one subtraction. Counters materialize
-  // only at control transfers, traps, stops and frame changes — `Steps` and
-  // `Cycles` below are "accounted through SegPC", and every exit path
-  // flushes them back into the context. The budget check collapses to a
-  // single PC-vs-precomputed-limit compare per dispatch.
+  // engine touches no counters at all: each instruction is one step, so
+  // steps are the PC distance from the segment start, and cycle costs come
+  // from the decode-time prefix-sum table in one subtraction. Counters
+  // materialize only at control transfers, traps, stops and frame changes —
+  // `Steps` and `Cycles` below are "accounted through SegPC", and every
+  // exit path flushes them back into the context. The budget check
+  // collapses to a single PC-vs-precomputed-limit compare per dispatch.
   uint64_t Steps = Ctx.Steps;
   uint64_t Cycles = Ctx.Cycles;
-  uint64_t StepsFused = Ctx.StepsFused;
   const uint64_t MaxSteps = Ctx.MaxSteps;
   auto Flush = [&] {
     Ctx.Steps = Steps;
     Ctx.Cycles = Cycles;
-    Ctx.StepsFused = StepsFused;
   };
-
-#if HELIX_ENGINE_THREADED
-  static const void *const JumpTable[NumXOpcodes] = {
-#define HELIX_LABEL_ADDR(N) &&xop_##N,
-      HELIX_XOPCODE_LIST(HELIX_LABEL_ADDR)
-#undef HELIX_LABEL_ADDR
-  };
-#endif
 
   while (!Ctx.Frames.empty()) {
     // Cache the hot frame state; re-acquired after every frame change.
@@ -496,8 +443,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
     };
     // Budget exhausted with \p Stop not yet executed: everything before
     // it ran and is charged; execution resumes (if the driver raises the
-    // cap) at Stop. Serves both the dispatch check and the fused-pair
-    // straddle check (there Stop is the unexecuted tail).
+    // cap) at Stop.
     auto BudgetStop = [&](const DecodedInst *Stop) HELIX_NOINLINE_COLD {
       Account(Stop);
       Ctx.Error = formatStr("instruction budget exhausted (%llu)",
@@ -515,128 +461,127 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
     {
       const DecodedInst &I = *Ip;
 
-      HELIX_DISPATCH_BEGIN(I.X)
-
-      HELIX_CASE(Add)
-      Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) +
-                                          uint64_t(Val(I.Ops[1]).asInt())));
-      goto step_done;
-      HELIX_CASE(Sub)
-      Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) -
-                                          uint64_t(Val(I.Ops[1]).asInt())));
-      goto step_done;
-      HELIX_CASE(Mul)
-      Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) *
-                                          uint64_t(Val(I.Ops[1]).asInt())));
-      goto step_done;
-      HELIX_CASE(Div) {
+      switch (I.Op) {
+      case Opcode::Add:
+        Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) +
+                                            uint64_t(Val(I.Ops[1]).asInt())));
+        goto step_done;
+      case Opcode::Sub:
+        Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) -
+                                            uint64_t(Val(I.Ops[1]).asInt())));
+        goto step_done;
+      case Opcode::Mul:
+        Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) *
+                                            uint64_t(Val(I.Ops[1]).asInt())));
+        goto step_done;
+      case Opcode::Div: {
         int64_t B = Val(I.Ops[1]).asInt();
         if (B == 0)
           return Trap(Ip, "integer division by zero");
         Regs[I.Dest] = Value::ofInt(Val(I.Ops[0]).asInt() / B);
         goto step_done;
       }
-      HELIX_CASE(Rem) {
+      case Opcode::Rem: {
         int64_t B = Val(I.Ops[1]).asInt();
         if (B == 0)
           return Trap(Ip, "integer remainder by zero");
         Regs[I.Dest] = Value::ofInt(Val(I.Ops[0]).asInt() % B);
         goto step_done;
       }
-      HELIX_CASE(And)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() & Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(Or)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() | Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(Xor)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() ^ Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(Shl)
-      Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt())
-                                          << (Val(I.Ops[1]).asInt() & 63)));
-      goto step_done;
-      HELIX_CASE(Shr)
-      Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) >>
-                                          (Val(I.Ops[1]).asInt() & 63)));
-      goto step_done;
-      HELIX_CASE(FAdd)
-      Regs[I.Dest] =
-          Value::ofFloat(Val(I.Ops[0]).asFloat() + Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FSub)
-      Regs[I.Dest] =
-          Value::ofFloat(Val(I.Ops[0]).asFloat() - Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FMul)
-      Regs[I.Dest] =
-          Value::ofFloat(Val(I.Ops[0]).asFloat() * Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FDiv)
-      Regs[I.Dest] =
-          Value::ofFloat(Val(I.Ops[0]).asFloat() / Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(IntToFP)
-      Regs[I.Dest] = Value::ofFloat(Val(I.Ops[0]).asFloat());
-      goto step_done;
-      HELIX_CASE(FPToInt)
-      Regs[I.Dest] = Value::ofInt(Val(I.Ops[0]).asInt());
-      goto step_done;
-      HELIX_CASE(CmpEQ)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() == Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(CmpNE)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() != Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(CmpLT)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() < Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(CmpLE)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() <= Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(CmpGT)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() > Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(CmpGE)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asInt() >= Val(I.Ops[1]).asInt());
-      goto step_done;
-      HELIX_CASE(FCmpEQ)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asFloat() == Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FCmpNE)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asFloat() != Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FCmpLT)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asFloat() < Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FCmpLE)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asFloat() <= Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FCmpGT)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asFloat() > Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(FCmpGE)
-      Regs[I.Dest] =
-          Value::ofInt(Val(I.Ops[0]).asFloat() >= Val(I.Ops[1]).asFloat());
-      goto step_done;
-      HELIX_CASE(Mov)
-      Regs[I.Dest] = Val(I.Ops[0]);
-      goto step_done;
-      HELIX_CASE(Load) {
+      case Opcode::And:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() & Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::Or:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() | Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::Xor:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() ^ Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::Shl:
+        Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt())
+                                            << (Val(I.Ops[1]).asInt() & 63)));
+        goto step_done;
+      case Opcode::Shr:
+        Regs[I.Dest] = Value::ofInt(int64_t(uint64_t(Val(I.Ops[0]).asInt()) >>
+                                            (Val(I.Ops[1]).asInt() & 63)));
+        goto step_done;
+      case Opcode::FAdd:
+        Regs[I.Dest] =
+            Value::ofFloat(Val(I.Ops[0]).asFloat() + Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FSub:
+        Regs[I.Dest] =
+            Value::ofFloat(Val(I.Ops[0]).asFloat() - Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FMul:
+        Regs[I.Dest] =
+            Value::ofFloat(Val(I.Ops[0]).asFloat() * Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FDiv:
+        Regs[I.Dest] =
+            Value::ofFloat(Val(I.Ops[0]).asFloat() / Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::IntToFP:
+        Regs[I.Dest] = Value::ofFloat(Val(I.Ops[0]).asFloat());
+        goto step_done;
+      case Opcode::FPToInt:
+        Regs[I.Dest] = Value::ofInt(Val(I.Ops[0]).asInt());
+        goto step_done;
+      case Opcode::CmpEQ:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() == Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::CmpNE:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() != Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::CmpLT:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() < Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::CmpLE:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() <= Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::CmpGT:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() > Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::CmpGE:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asInt() >= Val(I.Ops[1]).asInt());
+        goto step_done;
+      case Opcode::FCmpEQ:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asFloat() == Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FCmpNE:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asFloat() != Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FCmpLT:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asFloat() < Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FCmpLE:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asFloat() <= Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FCmpGT:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asFloat() > Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::FCmpGE:
+        Regs[I.Dest] =
+            Value::ofInt(Val(I.Ops[0]).asFloat() >= Val(I.Ops[1]).asFloat());
+        goto step_done;
+      case Opcode::Mov:
+        Regs[I.Dest] = Val(I.Ops[0]);
+        goto step_done;
+      case Opcode::Load: {
         int64_t Addr = Val(I.Ops[0]).asInt();
         if (Addr <= 0)
           return Trap(Ip, "load from null/negative address");
@@ -649,7 +594,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         }
         goto step_done;
       }
-      HELIX_CASE(Store) {
+      case Opcode::Store: {
         int64_t Addr = Val(I.Ops[1]).asInt();
         if (Addr <= 0)
           return Trap(Ip, "store to null/negative address");
@@ -664,7 +609,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         }
         goto step_done;
       }
-      HELIX_CASE(Alloca) {
+      case Opcode::Alloca: {
         uint64_t Base = ExecStackBase + Ctx.StackPtr;
         Ctx.StackPtr += uint64_t(I.Imm);
         if (Ctx.Stack.size() < Ctx.StackPtr)
@@ -672,14 +617,14 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Regs[I.Dest] = Value::ofInt(int64_t(Base));
         goto step_done;
       }
-      HELIX_CASE(HeapAlloc) {
+      case Opcode::HeapAlloc: {
         int64_t N = Val(I.Ops[0]).asInt();
         if (N <= 0)
           return Trap(Ip, "heap allocation of non-positive size");
         Regs[I.Dest] = Value::ofInt(int64_t(Mem.heapAlloc(uint64_t(N))));
         goto step_done;
       }
-      HELIX_CASE(Br) {
+      case Opcode::Br: {
         Account(Ip + 1); // the branch itself is charged, taken or stopped
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -694,7 +639,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Reseg(I.Succ1);
         goto dispatch;
       }
-      HELIX_CASE(CondBr) {
+      case Opcode::CondBr: {
         Account(Ip + 1);
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -710,7 +655,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Reseg(Target);
         goto dispatch;
       }
-      HELIX_CASE(Call) {
+      case Opcode::Call: {
         Account(Ip + 1);
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -735,7 +680,7 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
         Ctx.Frames.push_back(NewFr);
         goto reframe;
       }
-      HELIX_CASE(Ret) {
+      case Opcode::Ret: {
         Account(Ip + 1);
         if constexpr (HT::WantsInstruction)
           Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
@@ -754,209 +699,31 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
           Ctx.frameRegs(Ctx.Frames.back())[DestReg] = RV;
         goto reframe;
       }
-      HELIX_CASE(Wait)
-      HELIX_CASE(SignalOp)
-      HELIX_CASE(IterStart)
-      // Sequentially these are no-ops; the threaded driver's hooks give
-      // them their synchronization semantics.
-      if (!Hooks.sync(I, DF->SrcOf[PCOf(Ip)])) {
-        // An abandoned sync op is charged (and re-charged on resume),
-        // matching the eager engine's count-at-dispatch behavior.
-        Account(Ip + 1);
-        Fr.PC = PCOf(Ip);
-        Flush();
-        return ExecStop::Abandoned;
-      }
-      goto step_done;
-      HELIX_CASE(MemFence)
-      Hooks.fence();
-      goto step_done;
-      HELIX_CASE(Nop)
-      goto step_done;
-
-      // --- Fused superinstructions ---------------------------------------
-      // Each handler executes the head, then the untouched tail at PC+1,
-      // replaying the unfused engine's step accounting, observer ordering
-      // (non-control after executing, control before transferring, edges
-      // after) and trap points instruction for instruction.
-
-      // A fused pair spends two budget steps. Between the halves (head
-      // executed and reported, its step charged) stop exactly where the
-      // unfused engine would when the budget runs out: at the tail, which
-      // has not run. Keeping this inside the fused handlers leaves the
-      // per-dispatch fast path with a single budget compare. Ip+1 >= LimitIp
-      // is precisely "the head was the last step the budget allowed".
-#define HELIX_FUSED_TAIL_BUDGET_CHECK()                                        \
-  if (HELIX_UNLIKELY(Ip + 1 >= LimitIp))                                       \
-    return BudgetStop(Ip + 1);
-
-#define HELIX_CMPBR_CASE(N, ACC, OP)                                           \
-  HELIX_CASE(N) {                                                              \
-    bool Cond = Val(I.Ops[0]).ACC() OP Val(I.Ops[1]).ACC();                    \
-    Regs[I.Dest] = Value::ofInt(Cond); /* may be live across the branch */     \
-    if constexpr (HT::WantsInstruction)                                        \
-      Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);                      \
-    HELIX_FUSED_TAIL_BUDGET_CHECK()                                            \
-    const DecodedInst &T = Ip[1];                                              \
-    StepsFused += 2;                                                           \
-    Account(Ip + 2);                                                           \
-    if constexpr (HT::WantsInstruction)                                        \
-      Hooks.onInstruction(DF->SrcOf[PCOf(Ip) + 1], T.Cycles);                  \
-    uint32_t Target = Cond ? T.Succ1 : T.Succ2;                                \
-    if constexpr (HT::WantsEdges) {                                            \
-      if (!Hooks.onEdge(DF->BlockOf[PCOf(Ip) + 1], DF->BlockOf[Target])) {     \
-        Fr.PC = PCOf(Ip) + 1;                                                  \
-        Flush();                                                               \
-        return ExecStop::EdgeStopped;                                          \
-      }                                                                        \
-    }                                                                          \
-    Ip = Code + Target;                                                        \
-    Reseg(Target);                                                             \
-    goto dispatch;                                                             \
-  }
-
-      HELIX_CMPBR_CASE(CmpEQBr, asInt, ==)
-      HELIX_CMPBR_CASE(CmpNEBr, asInt, !=)
-      HELIX_CMPBR_CASE(CmpLTBr, asInt, <)
-      HELIX_CMPBR_CASE(CmpLEBr, asInt, <=)
-      HELIX_CMPBR_CASE(CmpGTBr, asInt, >)
-      HELIX_CMPBR_CASE(CmpGEBr, asInt, >=)
-      HELIX_CMPBR_CASE(FCmpEQBr, asFloat, ==)
-      HELIX_CMPBR_CASE(FCmpNEBr, asFloat, !=)
-      HELIX_CMPBR_CASE(FCmpLTBr, asFloat, <)
-      HELIX_CMPBR_CASE(FCmpLEBr, asFloat, <=)
-      HELIX_CMPBR_CASE(FCmpGTBr, asFloat, >)
-      HELIX_CMPBR_CASE(FCmpGEBr, asFloat, >=)
-#undef HELIX_CMPBR_CASE
-
-      HELIX_CASE(AddLoad) {
-        uint64_t Sum =
-            uint64_t(Val(I.Ops[0]).asInt()) + uint64_t(Val(I.Ops[1]).asInt());
-        Regs[I.Dest] = Value::ofInt(int64_t(Sum));
-        if constexpr (HT::WantsInstruction)
-          Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
-        HELIX_FUSED_TAIL_BUDGET_CHECK()
-        const DecodedInst &T = Ip[1];
-        StepsFused += 2;
-        int64_t Addr = int64_t(Sum);
-        if (Addr <= 0)
-          return Trap(Ip + 1, "load from null/negative address");
-        uint64_t A = uint64_t(Addr);
-        if (A >= ExecStackBase) {
-          uint64_t Idx = A - ExecStackBase;
-          Regs[T.Dest] = Idx < Ctx.Stack.size() ? Ctx.Stack[Idx] : Value();
-        } else {
-          Regs[T.Dest] = Mem.load(A);
-        }
-        if constexpr (HT::WantsInstruction)
-          Hooks.onInstruction(DF->SrcOf[PCOf(Ip) + 1], T.Cycles);
-        Ip += 2;
-        goto dispatch;
-      }
-      HELIX_CASE(AddStore) {
-        uint64_t Sum =
-            uint64_t(Val(I.Ops[0]).asInt()) + uint64_t(Val(I.Ops[1]).asInt());
-        // Write the sum before reading the store value: the stored operand
-        // may name the add's destination register.
-        Regs[I.Dest] = Value::ofInt(int64_t(Sum));
-        if constexpr (HT::WantsInstruction)
-          Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
-        HELIX_FUSED_TAIL_BUDGET_CHECK()
-        const DecodedInst &T = Ip[1];
-        StepsFused += 2;
-        int64_t Addr = int64_t(Sum);
-        if (Addr <= 0)
-          return Trap(Ip + 1, "store to null/negative address");
-        uint64_t A = uint64_t(Addr);
-        if (A >= ExecStackBase) {
-          uint64_t Idx = A - ExecStackBase;
-          if (Idx >= Ctx.Stack.size())
-            Ctx.Stack.resize(Idx + 1);
-          Ctx.Stack[Idx] = Val(T.Ops[0]);
-        } else {
-          Mem.store(A, Val(T.Ops[0]));
-        }
-        if constexpr (HT::WantsInstruction)
-          Hooks.onInstruction(DF->SrcOf[PCOf(Ip) + 1], T.Cycles);
-        Ip += 2;
-        goto dispatch;
-      }
-      HELIX_CASE(SyncPair) {
+      case Opcode::Wait:
+      case Opcode::SignalOp:
+      case Opcode::IterStart:
+        // Sequentially these are no-ops; the threaded driver's hooks give
+        // them their synchronization semantics.
         if (!Hooks.sync(I, DF->SrcOf[PCOf(Ip)])) {
-          Account(Ip + 1); // head abandoned: only its step was spent
+          // An abandoned sync op is charged (and re-charged on resume),
+          // matching the eager engine's count-at-dispatch behavior.
+          Account(Ip + 1);
           Fr.PC = PCOf(Ip);
           Flush();
           return ExecStop::Abandoned;
         }
-        if constexpr (HT::WantsInstruction)
-          Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);
-        HELIX_FUSED_TAIL_BUDGET_CHECK()
-        const DecodedInst &T = Ip[1];
-        StepsFused += 2;
-        if (!Hooks.sync(T, DF->SrcOf[PCOf(Ip) + 1])) {
-          Account(Ip + 2); // tail abandoned: both halves charged
-          Fr.PC = PCOf(Ip) + 1;
-          Flush();
-          return ExecStop::Abandoned;
-        }
-        if constexpr (HT::WantsInstruction)
-          Hooks.onInstruction(DF->SrcOf[PCOf(Ip) + 1], T.Cycles);
-        Ip += 2;
-        goto dispatch;
+        goto step_done;
+      case Opcode::MemFence:
+        Hooks.fence();
+        goto step_done;
+      case Opcode::Nop:
+        goto step_done;
+      // Every opcode is covered above: telling the optimizer so deletes the
+      // jump-table bounds check from the hottest branch in the process.
+      default:
+        assert(!"invalid opcode");
+        HELIX_UNREACHABLE_HINT();
       }
-
-      // Generic ALU pair handlers: head and tail are trap-free integer ALU
-      // ops, executed back to back in one dispatch. The head's destination
-      // is written before the tail's operands are read, so a tail that
-      // consumes the head's result (the common case) behaves exactly like
-      // two sequential dispatches.
-#define HELIX_ALU_Add(A, B) int64_t(uint64_t(A) + uint64_t(B))
-#define HELIX_ALU_Sub(A, B) int64_t(uint64_t(A) - uint64_t(B))
-#define HELIX_ALU_Mul(A, B) int64_t(uint64_t(A) * uint64_t(B))
-#define HELIX_ALU_And(A, B) ((A) & (B))
-#define HELIX_ALU_Or(A, B) ((A) | (B))
-#define HELIX_ALU_Xor(A, B) ((A) ^ (B))
-#define HELIX_ALU_Shl(A, B) int64_t(uint64_t(A) << ((B) & 63))
-#define HELIX_ALU_Shr(A, B) int64_t(uint64_t(A) >> ((B) & 63))
-
-#define HELIX_ALUPAIR_CASE(HD, TL)                                             \
-  HELIX_CASE(HD##TL) {                                                         \
-    Regs[I.Dest] = Value::ofInt(                                               \
-        HELIX_ALU_##HD(Val(I.Ops[0]).asInt(), Val(I.Ops[1]).asInt()));         \
-    if constexpr (HT::WantsInstruction)                                        \
-      Hooks.onInstruction(DF->SrcOf[PCOf(Ip)], I.Cycles);                      \
-    HELIX_FUSED_TAIL_BUDGET_CHECK()                                            \
-    const DecodedInst &T = Ip[1];                                              \
-    StepsFused += 2;                                                           \
-    Regs[T.Dest] = Value::ofInt(                                               \
-        HELIX_ALU_##TL(Val(T.Ops[0]).asInt(), Val(T.Ops[1]).asInt()));         \
-    if constexpr (HT::WantsInstruction)                                        \
-      Hooks.onInstruction(DF->SrcOf[PCOf(Ip) + 1], T.Cycles);                  \
-    Ip += 2;                                                                   \
-    goto dispatch;                                                             \
-  }
-#define HELIX_ALUPAIR_CASE_ROW(HD)                                             \
-  HELIX_ALUPAIR_CASE(HD, Add)                                                  \
-  HELIX_ALUPAIR_CASE(HD, Sub)                                                  \
-  HELIX_ALUPAIR_CASE(HD, Mul)                                                  \
-  HELIX_ALUPAIR_CASE(HD, And)                                                  \
-  HELIX_ALUPAIR_CASE(HD, Or)                                                   \
-  HELIX_ALUPAIR_CASE(HD, Xor)                                                  \
-  HELIX_ALUPAIR_CASE(HD, Shl)                                                  \
-  HELIX_ALUPAIR_CASE(HD, Shr)
-
-      HELIX_ALUPAIR_CASE_ROW(Add)
-      HELIX_ALUPAIR_CASE_ROW(Sub)
-      HELIX_ALUPAIR_CASE_ROW(Mul)
-      HELIX_ALUPAIR_CASE_ROW(And)
-      HELIX_ALUPAIR_CASE_ROW(Or)
-      HELIX_ALUPAIR_CASE_ROW(Xor)
-      HELIX_ALUPAIR_CASE_ROW(Shl)
-      HELIX_ALUPAIR_CASE_ROW(Shr)
-#undef HELIX_ALUPAIR_CASE_ROW
-#undef HELIX_ALUPAIR_CASE
-
-      HELIX_DISPATCH_END()
 
     step_done:
       if constexpr (HT::WantsInstruction)
@@ -969,20 +736,6 @@ ExecStop runEngine(const ExecProgram &P, MemoryT &Mem, ExecContext &Ctx,
   Flush();
   return ExecStop::Returned;
 }
-
-#undef HELIX_ALU_Add
-#undef HELIX_ALU_Sub
-#undef HELIX_ALU_Mul
-#undef HELIX_ALU_And
-#undef HELIX_ALU_Or
-#undef HELIX_ALU_Xor
-#undef HELIX_ALU_Shl
-#undef HELIX_ALU_Shr
-#undef HELIX_FUSED_TAIL_BUDGET_CHECK
-#undef HELIX_DISPATCH_BEGIN
-#undef HELIX_CASE
-#undef HELIX_DISPATCH_END
-#undef HELIX_ENGINE_THREADED
 
 } // namespace helix
 

@@ -1,6 +1,5 @@
 #include "exec/ExecProgram.h"
 
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "sim/CostModel.h"
 #include "support/Compiler.h"
@@ -37,81 +36,9 @@ private:
   std::map<std::pair<bool, uint64_t>, uint32_t> Index;
 };
 
-bool isAnyCmp(Opcode Op) {
-  return Op >= Opcode::CmpEQ && Op <= Opcode::FCmpGE;
-}
-bool isSyncOpcode(Opcode Op) {
-  return Op == Opcode::Wait || Op == Opcode::SignalOp ||
-         Op == Opcode::IterStart;
-}
-
-/// True when operand \p R names register \p Reg (not a pool constant).
-bool isReg(OperandRef R, uint32_t Reg) {
-  return !(R & ConstOperandBit) && R == Reg;
-}
-
-/// Peephole superinstruction fusion over one block's PC range
-/// [Begin, End). Layout preserving: the head instruction's dispatch key
-/// becomes a fused XOpcode and the tail at PC+1 stays fully intact (the
-/// fused handler reads it), so PCs, block boundaries and branch targets
-/// are unchanged. Pairs are disjoint; a pair tail is mid-block and thus
-/// never a branch target. \returns the number of pairs fused.
-uint64_t fuseBlock(DecodedInst *Code, uint32_t Begin, uint32_t End) {
-  uint64_t Fused = 0;
-  for (uint32_t PC = Begin; PC + 1 < End; ++PC) {
-    DecodedInst &A = Code[PC];
-    const DecodedInst &B = Code[PC + 1];
-
-    // cmp + condbr on the comparison result. The fused handler still
-    // writes the cmp's destination (it may be live across the branch).
-    if (isAnyCmp(A.Op) && B.Op == Opcode::CondBr && isReg(B.Ops[0], A.Dest)) {
-      unsigned Rel = unsigned(A.Op) - unsigned(Opcode::CmpEQ);
-      A.X = XOpcode(unsigned(XOpcode::CmpEQBr) + Rel);
-      ++Fused;
-      ++PC; // pairs are disjoint
-      continue;
-    }
-    // add + load/store through the freshly computed address.
-    if (A.Op == Opcode::Add && B.Op == Opcode::Load &&
-        isReg(B.Ops[0], A.Dest)) {
-      A.X = XOpcode::AddLoad;
-      ++Fused;
-      ++PC;
-      continue;
-    }
-    if (A.Op == Opcode::Add && B.Op == Opcode::Store &&
-        isReg(B.Ops[1], A.Dest)) {
-      A.X = XOpcode::AddStore;
-      ++Fused;
-      ++PC;
-      continue;
-    }
-    // Adjacent synchronization operations (Signal/Wait sequences emitted
-    // back to back by the parallelizer).
-    if (isSyncOpcode(A.Op) && isSyncOpcode(B.Op)) {
-      A.X = XOpcode::SyncPair;
-      ++Fused;
-      ++PC;
-      continue;
-    }
-    // Generic trap-free integer ALU pair: any adjacency qualifies (the
-    // fused handler writes the head's destination before reading the
-    // tail's operands, exactly like two sequential dispatches), so the
-    // dominant short ALU chains of loop bodies pair off greedily.
-    if (aluPairIndex(A.Op) >= 0 && aluPairIndex(B.Op) >= 0) {
-      A.X = aluPairKey(A.Op, B.Op);
-      ++Fused;
-      ++PC;
-      continue;
-    }
-  }
-  return Fused;
-}
-
 } // namespace
 
-ExecCodeBody::ExecCodeBody(const Module &M, DecodeOptions Options)
-    : Opts(Options) {
+ExecCodeBody::ExecCodeBody(const Module &M) {
   Fingerprint = ExecProgram::fingerprintModule(M);
 
   // Memory layout: identical for every engine — address 0 reserved,
@@ -169,7 +96,6 @@ ExecCodeBody::ExecCodeBody(const Module &M, DecodeOptions Options)
       for (const Instruction *I : *BB) {
         DecodedInst D;
         D.Op = I->opcode();
-        D.X = plainKey(D.Op);
         D.Cycles = uint16_t(opcodeCycles(D.Op));
         D.Dest = I->hasDest() ? I->dest() : ~0u;
         D.Imm = I->imm();
@@ -196,22 +122,10 @@ ExecCodeBody::ExecCodeBody(const Module &M, DecodeOptions Options)
       }
     }
 
-    // Pass 3: superinstruction fusion, block by block (a pair never
-    // crosses a block boundary, so a pair tail is never a branch target).
-    if (Opts.Fuse) {
-      uint32_t Begin = 0;
-      for (unsigned BI = 0, BE = F->numBlocks(); BI != BE; ++BI) {
-        uint32_t End = Begin + uint32_t(F->block(BI)->size());
-        FusedPairs += fuseBlock(DF.Code.data(), Begin, End);
-        Begin = End;
-      }
-    }
-
-    // Pass 4: cycle prefix sums over the flat code array. Fusion rewrites
-    // dispatch keys only, never per-instruction cycle costs, so one table
-    // serves both decode variants. The engine charges a straight-line
-    // segment [A, B) in a single subtraction at the segment's end instead
-    // of accumulating per instruction in the dispatch loop.
+    // Pass 3: cycle prefix sums over the flat code array. The engine
+    // charges a straight-line segment [A, B) in a single subtraction at the
+    // segment's end instead of accumulating per instruction in the dispatch
+    // loop.
     DF.CyclePrefix.resize(DF.Code.size() + 1);
     uint64_t Sum = 0;
     for (size_t K = 0, E = DF.Code.size(); K != E; ++K) {
@@ -220,18 +134,14 @@ ExecCodeBody::ExecCodeBody(const Module &M, DecodeOptions Options)
     }
     DF.CyclePrefix[DF.Code.size()] = Sum;
   }
-
-  obs::MetricsRegistry::global()
-      .counter("exec.decode.fused_pairs")
-      .add(FusedPairs);
 }
 
 //===----------------------------------------------------------------------===//
 // Program instances
 //===----------------------------------------------------------------------===//
 
-ExecProgram::ExecProgram(const Module &M, DecodeOptions Opts)
-    : M(&M), Body(std::make_shared<const ExecCodeBody>(M, Opts)) {
+ExecProgram::ExecProgram(const Module &M)
+    : M(&M), Body(std::make_shared<const ExecCodeBody>(M)) {
   bindInstanceTables();
 }
 
@@ -385,21 +295,19 @@ DecodeCache &DecodeCache::global() {
   return Cache;
 }
 
-std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M,
-                                                    DecodeOptions Opts) {
+std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M) {
   uint64_t FP = ExecProgram::fingerprintModule(M);
-  const unsigned V = Opts.Fuse ? 1 : 0;
   std::shared_ptr<const ExecCodeBody> Body;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Entries[V].find(&M);
-    if (It != Entries[V].end() && It->second.Uid == M.uid() &&
+    auto It = Entries.find(&M);
+    if (It != Entries.end() && It->second.Uid == M.uid() &&
         It->second.Fingerprint == FP) {
       ++Hits;
       return It->second.Prog;
     }
-    auto BIt = Bodies[V].find(FP);
-    if (BIt != Bodies[V].end())
+    auto BIt = Bodies.find(FP);
+    if (BIt != Bodies.end())
       Body = BIt->second;
   }
 
@@ -410,7 +318,7 @@ std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M,
   obs::TraceSpan DecodeSpan("decode", "exec");
   bool BuiltBody = false;
   if (!Body) {
-    Body = std::make_shared<const ExecCodeBody>(M, Opts);
+    Body = std::make_shared<const ExecCodeBody>(M);
     BuiltBody = true;
   }
   auto Prog = std::make_shared<const ExecProgram>(M, Body);
@@ -418,40 +326,36 @@ std::shared_ptr<const ExecProgram> DecodeCache::get(const Module &M,
   std::lock_guard<std::mutex> Lock(Mutex);
   if (BuiltBody) {
     ++Decodes;
-    if (Bodies[V].size() >= MaxEntries && !Bodies[V].count(FP)) {
-      Bodies[V].erase(Bodies[V].begin()); // arbitrary victim
+    if (Bodies.size() >= MaxEntries && !Bodies.count(FP)) {
+      Bodies.erase(Bodies.begin()); // arbitrary victim
       ++Evictions;
     }
-    Bodies[V][FP] = Body;
+    Bodies[FP] = Body;
   } else {
     ++BodyHits;
   }
-  if (Entries[V].size() >= MaxEntries && !Entries[V].count(&M)) {
-    Entries[V].erase(Entries[V].begin()); // users hold shared_ptrs
+  if (Entries.size() >= MaxEntries && !Entries.count(&M)) {
+    Entries.erase(Entries.begin()); // users hold shared_ptrs
     ++Evictions;
   }
-  Entries[V][&M] = {M.uid(), FP, Prog};
+  Entries[&M] = {M.uid(), FP, Prog};
   return Prog;
 }
 
 void DecodeCache::invalidate(const Module &M) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (unsigned V = 0; V != 2; ++V) {
-    auto It = Entries[V].find(&M);
-    if (It == Entries[V].end())
-      continue;
-    // Drop the body decoded from this module too: invalidate means the
-    // module mutated, and a later get() must re-decode rather than rebind
-    // the stale shape. Other modules sharing the shape simply re-decode.
-    Bodies[V].erase(It->second.Fingerprint);
-    Entries[V].erase(It);
-  }
+  auto It = Entries.find(&M);
+  if (It == Entries.end())
+    return;
+  // Drop the body decoded from this module too: invalidate means the
+  // module mutated, and a later get() must re-decode rather than rebind
+  // the stale shape. Other modules sharing the shape simply re-decode.
+  Bodies.erase(It->second.Fingerprint);
+  Entries.erase(It);
 }
 
 void DecodeCache::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &Map : Entries)
-    Map.clear();
-  for (auto &Map : Bodies)
-    Map.clear();
+  Entries.clear();
+  Bodies.clear();
 }

@@ -23,13 +23,6 @@
 ///     IR identity (Instruction/BasicBlock/Function pointers for
 ///     observers, sync-op ownership and trap diagnostics).
 ///
-/// Decode optionally peephole-fuses hot instruction pairs (cmp+condbr,
-/// add+load, add+store, adjacent sync ops) into superinstructions: the
-/// fused head gets a fused XOpcode dispatch key while every original
-/// field — including the untouched pair tail at PC+1 — stays in place, so
-/// PCs, block boundaries and branch targets are unchanged and the fused
-/// and unfused programs are layout-identical.
-///
 /// Program instances keep pointers into their source Module, so the Module
 /// must outlive the ExecProgram and must not be mutated while one is in
 /// use. DecodeCache enforces that contract with a structural fingerprint:
@@ -59,110 +52,6 @@ namespace helix {
 using OperandRef = uint32_t;
 inline constexpr OperandRef ConstOperandBit = OperandRef(1) << 31;
 
-/// The dispatch keys of the engine: every Opcode (numerically mirrored, so
-/// an unfused instruction's key is just its opcode) plus the fused
-/// superinstructions decode synthesizes. The X-macro also generates the
-/// computed-goto jump table in ExecEngine.h — keep the two lists and the
-/// Opcode enum order in lock step.
-#define HELIX_XOPCODE_PLAIN_LIST(X)                                            \
-  X(Add) X(Sub) X(Mul) X(Div) X(Rem) X(And) X(Or) X(Xor) X(Shl) X(Shr)         \
-  X(FAdd) X(FSub) X(FMul) X(FDiv) X(IntToFP) X(FPToInt)                        \
-  X(CmpEQ) X(CmpNE) X(CmpLT) X(CmpLE) X(CmpGT) X(CmpGE)                        \
-  X(FCmpEQ) X(FCmpNE) X(FCmpLT) X(FCmpLE) X(FCmpGT) X(FCmpGE)                  \
-  X(Mov) X(Load) X(Store) X(Alloca) X(HeapAlloc)                               \
-  X(Br) X(CondBr) X(Call) X(Ret) X(Wait) X(SignalOp) X(IterStart)              \
-  X(MemFence) X(Nop)
-
-/// The eight trap-free integer ALU opcodes eligible for generic pair
-/// fusion, in the index order aluPairIndex() assigns. Any adjacent pair of
-/// these fuses into one dispatch (HeadTail key = AddAdd + head*8 + tail) —
-/// interpreter loop bodies are dominated by short ALU chains, so this is
-/// where superinstruction fusion buys the most.
-#define HELIX_ALUPAIR_OPS(X) \
-  X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Shl) X(Shr)
-
-#define HELIX_ALUPAIR_ROW(X, H)                                                \
-  X(H##Add) X(H##Sub) X(H##Mul) X(H##And) X(H##Or) X(H##Xor) X(H##Shl)         \
-      X(H##Shr)
-
-#define HELIX_XOPCODE_ALUPAIR_LIST(X)                                          \
-  HELIX_ALUPAIR_ROW(X, Add) HELIX_ALUPAIR_ROW(X, Sub)                          \
-  HELIX_ALUPAIR_ROW(X, Mul) HELIX_ALUPAIR_ROW(X, And)                          \
-  HELIX_ALUPAIR_ROW(X, Or) HELIX_ALUPAIR_ROW(X, Xor)                           \
-  HELIX_ALUPAIR_ROW(X, Shl) HELIX_ALUPAIR_ROW(X, Shr)
-
-#define HELIX_XOPCODE_FUSED_LIST(X)                                            \
-  X(CmpEQBr) X(CmpNEBr) X(CmpLTBr) X(CmpLEBr) X(CmpGTBr) X(CmpGEBr)            \
-  X(FCmpEQBr) X(FCmpNEBr) X(FCmpLTBr) X(FCmpLEBr) X(FCmpGTBr) X(FCmpGEBr)      \
-  X(AddLoad) X(AddStore) X(SyncPair) HELIX_XOPCODE_ALUPAIR_LIST(X)
-
-#define HELIX_XOPCODE_LIST(X)                                                  \
-  HELIX_XOPCODE_PLAIN_LIST(X) HELIX_XOPCODE_FUSED_LIST(X)
-
-enum class XOpcode : uint8_t {
-#define HELIX_DEFINE_XOPCODE(N) N,
-  HELIX_XOPCODE_LIST(HELIX_DEFINE_XOPCODE)
-#undef HELIX_DEFINE_XOPCODE
-};
-
-inline constexpr unsigned NumXOpcodes = []() constexpr {
-  unsigned N = 0;
-#define HELIX_COUNT_XOPCODE(X) ++N;
-  HELIX_XOPCODE_LIST(HELIX_COUNT_XOPCODE)
-#undef HELIX_COUNT_XOPCODE
-  return N;
-}();
-
-/// The plain block mirrors Opcode numerically: XOpcode(uint8_t(Op)) is the
-/// unfused dispatch key of Op.
-static_assert(uint8_t(XOpcode::Add) == uint8_t(Opcode::Add) &&
-                  uint8_t(XOpcode::CondBr) == uint8_t(Opcode::CondBr) &&
-                  uint8_t(XOpcode::Nop) == uint8_t(Opcode::Nop),
-              "XOpcode plain block must mirror Opcode");
-
-inline constexpr XOpcode plainKey(Opcode Op) { return XOpcode(uint8_t(Op)); }
-inline constexpr bool isFusedKey(XOpcode X) {
-  return uint8_t(X) > uint8_t(XOpcode::Nop);
-}
-
-/// Index of \p Op in the HELIX_ALUPAIR_OPS grid, or -1 when the opcode is
-/// not eligible for generic ALU pair fusion (it may trap, or is not an
-/// integer ALU operation).
-inline constexpr int aluPairIndex(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-    return 0;
-  case Opcode::Sub:
-    return 1;
-  case Opcode::Mul:
-    return 2;
-  case Opcode::And:
-    return 3;
-  case Opcode::Or:
-    return 4;
-  case Opcode::Xor:
-    return 5;
-  case Opcode::Shl:
-    return 6;
-  case Opcode::Shr:
-    return 7;
-  default:
-    return -1;
-  }
-}
-
-/// Dispatch key of the fused pair (head, tail); both must be pair-eligible.
-inline constexpr XOpcode aluPairKey(Opcode Head, Opcode Tail) {
-  return XOpcode(unsigned(XOpcode::AddAdd) + unsigned(aluPairIndex(Head)) * 8 +
-                 unsigned(aluPairIndex(Tail)));
-}
-
-static_assert(uint8_t(XOpcode::ShrShr) == uint8_t(XOpcode::AddAdd) + 63 &&
-                  aluPairKey(Opcode::Add, Opcode::Add) == XOpcode::AddAdd &&
-                  aluPairKey(Opcode::Xor, Opcode::Shr) == XOpcode::XorShr &&
-                  aluPairKey(Opcode::Shr, Opcode::Shr) == XOpcode::ShrShr,
-              "ALU pair key grid out of step with the XOpcode list");
-
 /// One pre-decoded instruction. Fixed two inline operand slots cover every
 /// opcode except wide calls, whose extra arguments spill into the owning
 /// function body's side table. Pointer-free — shared across structurally
@@ -170,7 +59,6 @@ static_assert(uint8_t(XOpcode::ShrShr) == uint8_t(XOpcode::AddAdd) + 63 &&
 /// has either branch targets or a callee, never both).
 struct DecodedInst {
   Opcode Op = Opcode::Nop;
-  XOpcode X = XOpcode::Nop; ///< dispatch key; == plainKey(Op) unless fused
   uint8_t NumOperands = 0;
   uint32_t Dest = ~0u;      ///< NoReg when the instruction has no destination
   OperandRef Ops[2] = {0, 0};
@@ -183,19 +71,6 @@ struct DecodedInst {
                             ///< operands beyond the inline two (calls only)
   uint16_t Cycles = 1;      ///< opcodeCycles(Op), resolved at decode time
   int64_t Imm = 0;          ///< Alloca size, Wait/Signal segment id
-};
-
-/// Decode-time options. Part of the content-addressed cache key: fused and
-/// unfused bodies of the same module coexist.
-struct DecodeOptions {
-  /// Peephole-fuse hot instruction pairs into superinstructions. The fused
-  /// program is layout-identical to the unfused one and fires observer
-  /// callbacks once per original instruction, but drivers that need a
-  /// strictly per-instruction event stream (trace collection, profiling,
-  /// dependence witnessing) run the unfused program by convention.
-  bool Fuse = true;
-
-  bool operator==(const DecodeOptions &O) const { return Fuse == O.Fuse; }
 };
 
 /// The shareable decoded code of one function: instructions laid out back
@@ -220,18 +95,15 @@ struct DecodedFunctionBody {
 
 /// The pointer-free decoded module: everything execution semantics depend
 /// on and nothing tied to one Module allocation. Content addressed by the
-/// structural fingerprint plus the decode options.
+/// structural fingerprint.
 struct ExecCodeBody {
-  ExecCodeBody(const Module &M, DecodeOptions Opts);
+  explicit ExecCodeBody(const Module &M);
 
   std::vector<DecodedFunctionBody> Functions;
   std::vector<Value> Consts;
   std::vector<uint64_t> GlobalBase;
   uint64_t GlobalEnd = 1;
   uint64_t Fingerprint = 0;
-  DecodeOptions Opts;
-  /// Instruction pairs fused into superinstructions at decode time.
-  uint64_t FusedPairs = 0;
 };
 
 /// One decoded function as the engine sees it: the shared body plus this
@@ -259,7 +131,7 @@ struct DecodedFunction {
 class ExecProgram {
 public:
   /// Decodes \p M from scratch (body + instance tables).
-  explicit ExecProgram(const Module &M, DecodeOptions Opts = {});
+  explicit ExecProgram(const Module &M);
   /// Binds an existing (content-addressed) body to \p M. \p Body must have
   /// been decoded from a module with the same structural fingerprint.
   ExecProgram(const Module &M, std::shared_ptr<const ExecCodeBody> Body);
@@ -289,9 +161,6 @@ public:
 
   /// The structural fingerprint of the module at decode time.
   uint64_t fingerprint() const { return Body->Fingerprint; }
-  const DecodeOptions &options() const { return Body->Opts; }
-  /// Instruction pairs fused into superinstructions at decode time.
-  uint64_t fusedPairs() const { return Body->FusedPairs; }
 
   /// Hashes everything execution semantics depend on: globals (sizes,
   /// initializers), function signatures, block layout, and per instruction
@@ -310,11 +179,11 @@ private:
 
 /// Process-wide decode cache, content addressed on two levels:
 ///
-///   - program instances keyed on (module address, decode options), with
+///   - program instances keyed on module address, with
 ///     the module's unique id and structural fingerprint as guards (a
 ///     recycled allocation never resurrects a stale decode; in-place
 ///     mutation forces a re-decode);
-///   - code bodies keyed on (structural fingerprint, decode options), so a
+///   - code bodies keyed on structural fingerprint, so a
 ///     *different* module with the same shape reuses the heavy decode and
 ///     only rebuilds the thin instance tables (a BodyHit).
 ///
@@ -337,10 +206,9 @@ public:
   /// The process-wide instance every driver uses by default.
   static DecodeCache &global();
 
-  /// \returns the decoded program of \p M under \p Opts, decoding the code
-  /// body at most once per (fingerprint, options). Thread-safe.
-  std::shared_ptr<const ExecProgram> get(const Module &M,
-                                         DecodeOptions Opts = {});
+  /// \returns the decoded program of \p M, decoding the code body at most
+  /// once per fingerprint. Thread-safe.
+  std::shared_ptr<const ExecProgram> get(const Module &M);
 
   /// Drops any entry for \p M (call after mutating a module an engine ran).
   void invalidate(const Module &M);
@@ -366,11 +234,9 @@ private:
   };
   static constexpr size_t MaxEntries = 64;
 
-  /// Per decode-option variant (index: Opts.Fuse), so fused and unfused
-  /// decodes of one module coexist.
   mutable std::mutex Mutex;
-  std::unordered_map<const Module *, Entry> Entries[2];
-  std::unordered_map<uint64_t, std::shared_ptr<const ExecCodeBody>> Bodies[2];
+  std::unordered_map<const Module *, Entry> Entries;
+  std::unordered_map<uint64_t, std::shared_ptr<const ExecCodeBody>> Bodies;
   std::atomic<uint64_t> Decodes{0}, Hits{0}, Evictions{0}, BodyHits{0};
 };
 

@@ -110,17 +110,20 @@ std::string checkInstr(const Function &F, const BasicBlock &BB,
 /// Is \p BB on a CFG cycle, i.e. can it reach itself through at least one
 /// edge? Iterative DFS over successors; no allocation beyond the visit set.
 bool onCycle(const BasicBlock *BB) {
-  std::vector<BasicBlock *> Start = BB->successors();
-  std::vector<const BasicBlock *> Stack(Start.begin(), Start.end());
-  std::set<const BasicBlock *> Seen(Stack.begin(), Stack.end());
+  std::vector<const BasicBlock *> Stack;
+  std::set<const BasicBlock *> Seen;
+  auto PushSuccessors = [&](const BasicBlock *From) {
+    for (const BasicBlock *Succ : From->successors())
+      if (Seen.insert(Succ).second)
+        Stack.push_back(Succ);
+  };
+  PushSuccessors(BB);
   while (!Stack.empty()) {
     const BasicBlock *Cur = Stack.back();
     Stack.pop_back();
     if (Cur == BB)
       return true;
-    for (const BasicBlock *Succ : Cur->successors())
-      if (Seen.insert(Succ).second)
-        Stack.push_back(Succ);
+    PushSuccessors(Cur);
   }
   return false;
 }

@@ -183,7 +183,6 @@ void workerMain(const ExecProgram &Prog, SharedExecMemory &Mem,
     Ctx.BudgetExhausted = false;
     Ctx.Steps = 0;
     Ctx.Cycles = 0;
-    Ctx.StepsFused = 0;
     ExecContext::Frame &Fr = Ctx.pushFrame(*DF);
     Fr.PC = HeaderPC;
     assert(Snapshot.size() == DF->NumRegs && "snapshot/frame width mismatch");

@@ -42,9 +42,7 @@ public:
 
   /// Caps run length (defence against accidental endless loops).
   void setMaxInstructions(uint64_t Max) { MaxInstructions = Max; }
-  /// Attaching an observer switches run() to the unfused decode of the
-  /// module (cached like the fused one), so the observer sees a strictly
-  /// per-instruction event stream with no superinstruction boundaries.
+  /// Every instruction run() executes reports to \p O (null detaches).
   void setObserver(ExecObserver *O) { Obs = O; }
 
   /// Runs function \p Name (default signature: no args) to completion.
@@ -72,14 +70,7 @@ public:
   const ExecProgram &program() const { return *Prog; }
 
 private:
-  /// The program run() executes: the fused decode normally, the unfused
-  /// one (decoded lazily, same cache) while an observer is attached. Both
-  /// share the module's memory layout, so Mem serves either.
-  const ExecProgram &activeProgram();
-
-  Module *M;
   std::shared_ptr<const ExecProgram> Prog;
-  std::shared_ptr<const ExecProgram> UnfusedProg;
   PrivateExecMemory Mem;
   ExecContext Ctx;
   ExecObserver *Obs = nullptr;

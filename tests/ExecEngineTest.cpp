@@ -313,139 +313,123 @@ next:
 }
 
 //===----------------------------------------------------------------------===//
-// Superinstruction fusion
+// Budget cutoffs
 //===----------------------------------------------------------------------===//
 
-/// Runs @main of \p P bare on the dispatch loop (no Interpreter wrapper, so
-/// the decode variant under test is exactly the one passed in).
-struct EngineRun {
-  ExecStop Stop = ExecStop::Trapped;
-  ExecContext Ctx;
+/// Records the reference's instruction stream with per-instruction costs.
+struct StreamRecorder : ExecObserver {
+  std::vector<const Instruction *> Instrs;
+  std::vector<uint64_t> CyclePrefix{0}; ///< cycles of Instrs[0..K)
+  void onInstruction(const Instruction *I, unsigned Cycles,
+                     ExecState &) override {
+    Instrs.push_back(I);
+    CyclePrefix.push_back(CyclePrefix.back() + Cycles);
+  }
 };
 
-EngineRun runBare(const ExecProgram &P) {
-  EngineRun R;
-  PrivateExecMemory Mem(P);
-  const DecodedFunction *DF = P.findFunction("main");
-  EXPECT_NE(DF, nullptr);
-  R.Ctx.pushFrame(*DF);
-  R.Stop = runEngine(P, Mem, R.Ctx, DefaultExecHooks());
-  return R;
+/// The instruction \p Ctx resumes at after a budget stop.
+const Instruction *resumeInstr(const ExecContext &Ctx) {
+  const ExecContext::Frame &Fr = Ctx.Frames.back();
+  return Fr.F->SrcOf[Fr.PC];
 }
 
-/// Fused and unfused decodes of the same module must be observationally
-/// identical: same return value, same error, same step and cycle
-/// accounting. Swept over every workload idiom so every fusion pattern
-/// (cmp+condbr, add+load, add+store, sync pairs) gets exercised.
-TEST_P(DecodedIdiom, FusedMatchesUnfusedAndFusionFires) {
-  auto M = idiomWorkload(GetParam());
-  ExecProgram Fused(*M, DecodeOptions{true});
-  ExecProgram Unfused(*M, DecodeOptions{false});
-  ASSERT_GT(Fused.fusedPairs(), 0u) << "idiom produced nothing fusable";
-  EXPECT_EQ(Unfused.fusedPairs(), 0u);
-  EXPECT_EQ(Fused.fingerprint(), Unfused.fingerprint());
-
-  EngineRun F = runBare(Fused);
-  EngineRun U = runBare(Unfused);
-  ASSERT_EQ(F.Stop, ExecStop::Returned) << F.Ctx.Error;
-  ASSERT_EQ(U.Stop, ExecStop::Returned) << U.Ctx.Error;
-  EXPECT_TRUE(F.Ctx.Returned == U.Ctx.Returned);
-  EXPECT_EQ(F.Ctx.Steps, U.Ctx.Steps);
-  EXPECT_EQ(F.Ctx.Cycles, U.Ctx.Cycles);
-  EXPECT_GT(F.Ctx.StepsFused, 0u);
-  EXPECT_EQ(U.Ctx.StepsFused, 0u);
-}
-
-/// Fusion must not change what a budget-capped run looks like: sweep the
-/// step budget across values that land a cutoff inside fused pairs and
-/// compare the exact stop state against the unfused decode.
-TEST(ExecEngine, FusedBudgetCutoffsMatchUnfused) {
+/// A budget cutoff must leave the engine exactly where the tree-walk
+/// reference stops: same steps, cycles and error, and a resume PC naming
+/// the instruction the reference would execute next. Swept over every step
+/// of the idiom, so cutoffs land on every position of a straight-line
+/// segment as well as on branches, calls and returns.
+TEST(ExecEngine, BudgetCutoffsMatchTreeWalk) {
   auto M = idiomWorkload(KernelIdiom::Branchy);
-  ExecProgram Fused(*M, DecodeOptions{true});
-  ExecProgram Unfused(*M, DecodeOptions{false});
-  ASSERT_GT(Fused.fusedPairs(), 0u);
-  for (uint64_t Budget : {1u, 2u, 3u, 7u, 50u, 51u, 52u, 53u, 1000u, 1001u}) {
-    PrivateExecMemory FM(Fused), UM(Unfused);
-    ExecContext FC, UC;
-    FC.MaxSteps = UC.MaxSteps = Budget;
-    FC.pushFrame(*Fused.findFunction("main"));
-    UC.pushFrame(*Unfused.findFunction("main"));
-    ExecStop FS = runEngine(Fused, FM, FC, DefaultExecHooks());
-    ExecStop US = runEngine(Unfused, UM, UC, DefaultExecHooks());
-    EXPECT_EQ(FS, US) << "budget " << Budget;
-    EXPECT_EQ(FC.Steps, UC.Steps) << "budget " << Budget;
-    EXPECT_EQ(FC.Cycles, UC.Cycles) << "budget " << Budget;
-    EXPECT_EQ(FC.Error, UC.Error) << "budget " << Budget;
-    EXPECT_EQ(FC.BudgetExhausted, UC.BudgetExhausted) << "budget " << Budget;
+  // With budget B the reference has executed exactly Stream.Instrs[0..B)
+  // and would execute Stream.Instrs[B] next.
+  StreamRecorder Stream;
+  TreeWalkInterpreter Full(*M);
+  Full.setObserver(&Stream);
+  ExecResult FullR = Full.run();
+  ASSERT_TRUE(FullR.Ok) << FullR.Error;
+  const uint64_t Total = FullR.Instructions;
+  ASSERT_EQ(Stream.Instrs.size(), Total);
+
+  ExecProgram Prog(*M);
+  const DecodedFunction *Main = Prog.findFunction("main");
+  ASSERT_NE(Main, nullptr);
+
+  // Every step: one engine context resumed one step at a time, so the
+  // sweep stays linear in the run length. Each stop is compared with the
+  // reference's state after the same number of steps.
+  {
+    PrivateExecMemory Mem(Prog);
+    ExecContext Ctx;
+    Ctx.pushFrame(*Main);
+    for (uint64_t B = 1; B < Total; ++B) {
+      Ctx.MaxSteps = B;
+      Ctx.Error.clear();
+      Ctx.BudgetExhausted = false;
+      ASSERT_EQ(runEngine(Prog, Mem, Ctx, DefaultExecHooks()),
+                ExecStop::Trapped)
+          << "budget " << B;
+      ASSERT_TRUE(Ctx.BudgetExhausted) << "budget " << B;
+      ASSERT_EQ(Ctx.Steps, B);
+      ASSERT_EQ(Ctx.Cycles, Stream.CyclePrefix[B]) << "budget " << B;
+      ASSERT_EQ(Ctx.Error, formatStr("instruction budget exhausted (%llu)",
+                                     (unsigned long long)B));
+      ASSERT_EQ(resumeInstr(Ctx), Stream.Instrs[B]) << "budget " << B;
+    }
+    Ctx.MaxSteps = Total;
+    EXPECT_EQ(runEngine(Prog, Mem, Ctx, DefaultExecHooks()),
+              ExecStop::Returned);
+    EXPECT_EQ(Ctx.Steps, Total);
+    EXPECT_EQ(Ctx.Cycles, FullR.Cycles);
+    EXPECT_TRUE(Ctx.Returned == FullR.ReturnValue);
+  }
+
+  // Fresh budgeted runs of both engines side by side: every budget through
+  // the first kernel iterations, then a stride through the run and around
+  // its end.
+  std::vector<uint64_t> Budgets = {Total - 2, Total - 1, Total};
+  for (uint64_t B = 1; B < Total; B += B < 600 ? 1 : 97)
+    Budgets.push_back(B);
+  for (uint64_t B : Budgets) {
+    TreeWalkInterpreter Ref(*M);
+    Ref.setMaxInstructions(B);
+    ExecResult RefR = Ref.run();
+    PrivateExecMemory Mem(Prog);
+    ExecContext Ctx;
+    Ctx.MaxSteps = B;
+    Ctx.pushFrame(*Main);
+    ExecStop Stop = runEngine(Prog, Mem, Ctx, DefaultExecHooks());
+    EXPECT_EQ(Stop == ExecStop::Returned, RefR.Ok) << "budget " << B;
+    EXPECT_EQ(Ctx.Steps, RefR.Instructions) << "budget " << B;
+    EXPECT_EQ(Ctx.Cycles, RefR.Cycles) << "budget " << B;
+    EXPECT_EQ(Ctx.Error, RefR.Error) << "budget " << B;
+    EXPECT_EQ(Ctx.BudgetExhausted, RefR.BudgetExhausted) << "budget " << B;
+    if (Stop != ExecStop::Returned) {
+      EXPECT_EQ(resumeInstr(Ctx), Stream.Instrs[B]) << "budget " << B;
+    }
   }
 }
 
-/// Even when the *fused* decode runs under instruction hooks (drivers
-/// normally switch to the unfused one), every original instruction must
-/// still be reported exactly once, in tree-walk order, with its own cost.
-TEST(ExecEngine, FusedProgramObserverStreamMatchesTreeWalk) {
-  struct Recorder : ExecObserver {
-    std::vector<std::pair<const Instruction *, unsigned>> Instrs;
-    std::vector<std::pair<const BasicBlock *, const BasicBlock *>> Edges;
-    void onInstruction(const Instruction *I, unsigned Cycles,
-                       ExecState &) override {
-      Instrs.push_back({I, Cycles});
-    }
-    void onEdge(const BasicBlock *From, const BasicBlock *To,
-                ExecState &) override {
-      Edges.push_back({From, To});
-    }
-  };
-  /// Minimal ExecState for driving runEngine with hooks but no Interpreter.
-  struct BareState : ExecState {
-    ExecContext &Ctx;
-    const ExecProgram &P;
-    BareState(ExecContext &Ctx, const ExecProgram &P) : Ctx(Ctx), P(P) {}
-    unsigned callDepth() const override {
-      return unsigned(Ctx.Frames.size());
-    }
-    const Function *currentFunction() const override {
-      return Ctx.Frames.back().F->Src;
-    }
-    Value operandValue(const Operand &O) const override {
-      switch (O.kind()) {
-      case Operand::Kind::Reg:
-        return Ctx.frameRegs(Ctx.Frames.back())[O.regId()];
-      case Operand::Kind::ImmInt:
-        return Value::ofInt(O.intValue());
-      case Operand::Kind::ImmFloat:
-        return Value::ofFloat(O.floatValue());
-      case Operand::Kind::Global:
-        return Value::ofInt(int64_t(P.globalBase(O.globalIndex())));
-      }
-      return Value();
-    }
-    uint64_t globalBase(unsigned Idx) const override {
-      return P.globalBase(Idx);
-    }
-  };
+/// An observed run decodes its module once: observers see the same decoded
+/// program an unobserved run executes, not a second variant of it.
+TEST(ExecEngine, ObservedRunDecodesOnce) {
+  auto M = idiomWorkload(KernelIdiom::Reduction);
+  DecodeCache &Cache = DecodeCache::global();
+  Cache.clear();
+  DecodeCache::Counters C0 = Cache.counters();
 
-  auto M = idiomWorkload(KernelIdiom::Branchy);
-  Recorder Ref;
-  TreeWalkInterpreter RefI(*M);
-  RefI.setObserver(&Ref);
-  ASSERT_TRUE(RefI.run().Ok);
+  StreamRecorder Stream;
+  Interpreter Observed(*M);
+  Observed.setObserver(&Stream);
+  ExecResult R = Observed.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Stream.Instrs.size(), R.Instructions);
+  Interpreter Plain(*M);
+  EXPECT_TRUE(Plain.run().ReturnValue == R.ReturnValue);
 
-  ExecProgram Fused(*M, DecodeOptions{true});
-  ASSERT_GT(Fused.fusedPairs(), 0u);
-  Recorder Dec;
-  PrivateExecMemory Mem(Fused);
-  ExecContext Ctx;
-  Ctx.pushFrame(*Fused.findFunction("main"));
-  BareState State(Ctx, Fused);
-  ObserverExecHooks Hooks(Dec, State);
-  ASSERT_EQ(runEngine(Fused, Mem, Ctx, Hooks), ExecStop::Returned)
-      << Ctx.Error;
-
-  ASSERT_EQ(Ref.Instrs.size(), Dec.Instrs.size());
-  EXPECT_TRUE(Ref.Instrs == Dec.Instrs);
-  EXPECT_TRUE(Ref.Edges == Dec.Edges);
-  EXPECT_GT(Ctx.StepsFused, 0u); // fused handlers actually ran
+  DecodeCache::Counters C1 = Cache.counters();
+  EXPECT_EQ(C1.Decodes - C0.Decodes, 1u);
+  EXPECT_EQ(C1.BodyHits - C0.BodyHits, 0u);
+  EXPECT_EQ(&Observed.program(), &Plain.program());
 }
 
 //===----------------------------------------------------------------------===//
@@ -554,7 +538,6 @@ entry:
 
   EXPECT_NE(A.get(), B.get()); // distinct instances (per-Module tables)...
   EXPECT_EQ(A->sharedBody().get(), B->sharedBody().get()); // ...one body
-  EXPECT_EQ(A->fusedPairs(), B->fusedPairs());
 
   // Both instances execute, and agree.
   Interpreter I1(*P1.M), I2(*P2.M);
