@@ -2,11 +2,12 @@
 ///
 /// \file
 /// Figure 10: contribution of Step 6 (signal minimization) and Step 8
-/// (helper-thread prefetching), plus the Figure-6 balancing scheduler.
-/// Four configurations on six cores; loops are re-chosen for each
-/// configuration from profiles of the code produced for that configuration,
-/// exactly as in the paper. Only steps 6 and 8 together give significant
-/// speedups; balancing adds on top.
+/// (helper-thread prefetching). Four configurations on six cores; loops
+/// are re-chosen for each configuration from profiles of the code produced
+/// for that configuration, exactly as in the paper. Only steps 6 and 8
+/// together give significant speedups. The paper's Figure-6 balancing
+/// scheduler is not reproduced (README, "Not reproduced"), so the HELIX
+/// column is steps 6 and 8 without it.
 ///
 /// The sweep runs through one PipelineContext per benchmark: the training
 /// run (profile stage) executes once and is reused by every configuration
@@ -25,19 +26,19 @@ int main() {
 
   struct ConfigSpec {
     const char *Label;
-    bool Step6, Step8, Balancing;
+    bool Step6, Step8;
   };
-  const ConfigSpec Specs[5] = {
-      {"no6no8", false, false, false}, {"no8", true, false, false},
-      {"no6", false, true, false},     {"no-balance", true, true, false},
-      {"HELIX", true, true, true},
+  const ConfigSpec Specs[4] = {
+      {"no6no8", false, false},
+      {"no8", true, false},
+      {"no6", false, true},
+      {"HELIX", true, true},
   };
   std::vector<PipelineConfig> Configs;
   for (const ConfigSpec &CS : Specs) {
     PipelineConfig C;
     C.Helix.EnableSignalOpt = CS.Step6;
     C.Helix.EnableHelperThreads = CS.Step8;
-    C.Helix.EnableBalancing = CS.Balancing;
     Configs.push_back(C);
   }
 
@@ -46,7 +47,7 @@ int main() {
     std::printf(" %10s", CS.Label);
   std::printf("   profile-stage\n");
 
-  std::vector<std::vector<double>> All(5);
+  std::vector<std::vector<double>> All(4);
   sweepEachBenchmark(
       Configs,
       [&](const WorkloadSpec &Spec, unsigned K, const PipelineReport &R) {
@@ -62,14 +63,13 @@ int main() {
                     Ctx.timesReused("profile"));
       });
   std::printf("%-10s", "geoMean");
-  for (unsigned K = 0; K != 5; ++K)
+  for (unsigned K = 0; K != 4; ++K)
     std::printf(" %9.2fx", geoMean(All[K]));
   std::printf("\n\npaper: only steps 6 and 8 together yield significant "
-              "speedups;\nthe Figure-6 balancing scheduler adds the final "
-              "margin (vs Figure 9)\n");
+              "speedups\n");
 
   obs::BenchJsonWriter W("fig10_ablation");
-  for (unsigned K = 0; K != 5; ++K)
+  for (unsigned K = 0; K != 4; ++K)
     W.add(std::string("geomean_") + Specs[K].Label, geoMean(All[K]), "x");
   W.write();
   return 0;

@@ -5,9 +5,9 @@
 ///
 /// Given a loop, this driver normalizes it, computes the dependences to
 /// satisfy, inlines calls participating in dependences, inserts and
-/// optimizes Wait/Signal synchronization, schedules code to shrink and
-/// space sequential segments, lowers boundary-variable communication, and
-/// returns the ParallelLoopInfo metadata the execution engines consume.
+/// optimizes Wait/Signal synchronization, lowers boundary-variable
+/// communication, and returns the ParallelLoopInfo metadata the execution
+/// engines consume.
 ///
 /// Step 9 note (merging parallel loops): only one loop runs in parallel at
 /// a time. The lowered loop remains sequentially executable (sync ops are

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Function inlining. Step 5 of the HELIX algorithm inlines calls that
-/// participate in data dependences so that sequential segments can be
-/// shrunk by code scheduling.
+/// participate in data dependences, so that a sequential segment covers
+/// the callee's memory operations rather than the whole call.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,7 +1,6 @@
 #include "helix/LoopPasses.h"
 
 #include "helix/Inliner.h"
-#include "helix/Scheduler.h"
 #include "ir/Verifier.h"
 #include "obs/Trace.h"
 #include "support/Compiler.h"
@@ -23,17 +22,14 @@ namespace {
 /// prologues themselves execute sequentially, ordered by the IterStart
 /// control signal, so only data forwarding (Step 7) is needed for them.
 std::vector<DataDependence> computeDeps(AnalysisManager &AM, Function *F,
-                                        Loop *L, DependenceStats &StatsOut,
-                                        bool UseRanges) {
+                                        Loop *L, DependenceStats &StatsOut) {
   const CFGInfo &CFG = AM.get<CFGInfo>(F);
   const DominatorTree &DT = AM.get<DominatorTree>(F);
   const Liveness &LV = AM.get<Liveness>(F);
-  const ValueRangeAnalysis *VR =
-      UseRanges ? &AM.get<ValueRangeAnalysis>(F) : nullptr;
   LoopVarAnalysis Vars(F, L, DT);
   LoopDependenceAnalysis DDA(F, L, CFG, DT, LV, Vars,
-                             AM.get<PointsToAnalysis>(),
-                             AM.get<MemEffects>(), VR);
+                             AM.get<PointsToAnalysis>(), AM.get<MemEffects>(),
+                             &AM.get<ValueRangeAnalysis>(F));
   StatsOut = DDA.stats();
   return DDA.toSynchronize();
 }
@@ -120,7 +116,7 @@ class DependencePass : public LoopPass {
 public:
   const char *name() const override { return "dependence"; }
   PassResult run(AnalysisManager &AM, LoopPassState &S) override {
-    S.Deps = computeDeps(AM, S.F, S.L, S.Stats, S.Opts.EnableRangeRefinement);
+    S.Deps = computeDeps(AM, S.F, S.L, S.Stats);
     return preservingAll();
   }
 };
@@ -169,7 +165,7 @@ public:
       S.NL = normalizeLoop(AM, S.F, S.Header);
       assert(S.NL.Valid && "inlining destroyed the loop");
       S.L = findLoop(AM.get<LoopInfo>(S.F), S.Header);
-      S.Deps = computeDeps(AM, S.F, S.L, S.Stats, S.Opts.EnableRangeRefinement);
+      S.Deps = computeDeps(AM, S.F, S.L, S.Stats);
     }
     return preservingAll();
   }
@@ -214,27 +210,6 @@ public:
   }
 };
 
-/// Step 5b: shrink sequential segments by scheduling. Reorders
-/// instructions within blocks only: block set, edges, dominators and loop
-/// structure are untouched, and no instruction is added or removed, so
-/// the flow-insensitive module analyses hold too. Only liveness — whose
-/// point queries are position-sensitive — is abandoned.
-class SchedulePass : public LoopPass {
-public:
-  const char *name() const override { return "schedule"; }
-  PassResult run(AnalysisManager &, LoopPassState &S) override {
-    if (!S.Opts.EnableScheduling)
-      return preservingAll();
-    compactSegments(S.NL, S.Deps);
-    // Position-sensitive analyses go: liveness point queries, and the
-    // value-range facts (factFor replays a block prefix whose instruction
-    // order just changed).
-    return preserving(PreservedAnalyses::all()
-                          .abandon<Liveness>()
-                          .abandon<ValueRangeAnalysis>());
-  }
-};
-
 /// Step 6: minimize signals. Runs even when disabled — it also computes
 /// the final segment list the later passes and the engines consume.
 /// Rewrites and erases Wait/Signal operations in place; those touch no
@@ -267,23 +242,6 @@ public:
     S.PLI.StorageGlobal = S.LR.StorageGlobal;
     S.PLI.SlotOfReg = S.LR.SlotOfReg;
     return preserving(PreservedAnalyses::none().preserve<CallGraph>());
-  }
-};
-
-/// Step 8: space segments so the helper thread can prefetch signals.
-/// Same scheduling machinery as Step 5b, same preservation.
-class BalancePass : public LoopPass {
-public:
-  const char *name() const override { return "balance"; }
-  PassResult run(AnalysisManager &, LoopPassState &S) override {
-    if (!(S.Opts.EnableHelperThreads && S.Opts.EnableBalancing))
-      return preservingAll();
-    unsigned Delta = unsigned(S.Opts.Machine.UnprefetchedSignalCycles -
-                              S.Opts.Machine.PrefetchedSignalCycles);
-    balanceSegmentSpacing(S.NL, S.Deps, Delta);
-    return preserving(PreservedAnalyses::all()
-                          .abandon<Liveness>()
-                          .abandon<ValueRangeAnalysis>());
   }
 };
 
@@ -373,9 +331,7 @@ void helix::addStandardHelixLoopPasses(LoopPassManager &PM) {
       .add(std::make_unique<InlinePass>())
       .add(std::make_unique<CharacterizePass>())
       .add(std::make_unique<WaitSignalPass>())
-      .add(std::make_unique<SchedulePass>())
       .add(std::make_unique<SignalOptPass>())
       .add(std::make_unique<LowerPass>())
-      .add(std::make_unique<BalancePass>())
       .add(std::make_unique<FinalizePass>());
 }

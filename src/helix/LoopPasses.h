@@ -11,11 +11,14 @@
 ///   characterize metadata: IVs, self-starting prologue, dep statistics
 ///   wait-signal  Step 4: naive Wait/Signal insertion (sequential-segment
 ///                construction)
-///   schedule     Step 5b: segment-shrinking code scheduling
 ///   signal-opt   Step 6: signal minimization
 ///   lower        Steps 3+7: iteration starts and boundary communication
-///   balance      Step 8: Figure-6 segment spacing for helper threads
 ///   finalize     publish ParallelLoopInfo, verify
+///
+/// Step 5b's segment-shrinking scheduler and Step 8's Figure-6 balancing
+/// scheduler are not implemented (see README, "Not reproduced"). Step 8's
+/// helper-thread prefetching is a property of the simulated machine, not
+/// of the transformed code.
 ///
 /// Every pass runs against a shared LoopPassState and returns, alongside
 /// its continue/abort decision, the PreservedAnalyses set describing what

@@ -83,14 +83,8 @@ const char *opcodeName(Opcode Op);
 /// \returns true for Br, CondBr and Ret.
 bool isTerminatorOpcode(Opcode Op);
 
-/// \returns true if the opcode defines a destination register.
-bool opcodeHasDest(Opcode Op);
-
 /// \returns true for binary arithmetic/comparison opcodes.
 bool isBinaryOpcode(Opcode Op);
-
-/// \returns true for the floating-point arithmetic/compare opcodes.
-bool isFloatOpcode(Opcode Op);
 
 } // namespace helix
 

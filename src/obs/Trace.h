@@ -10,8 +10,7 @@
 /// Recording is off by default: a disabled `TraceSpan` is two relaxed
 /// atomic loads and no allocation, so spans are safe to leave in hot-ish
 /// paths permanently. Enable via `TraceRecorder::global().setEnabled(true)`
-/// — the `--trace-out FILE` tool flags and the `PipelineConfig` knob do
-/// exactly that.
+/// — the `--trace-out FILE` tool flags do exactly that.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -37,11 +37,8 @@ PipelineReport Pipeline::run(PipelineContext &Ctx) const {
     return Ctx.Report;
   }
 
-  // Observability: the TraceSpans knob switches the process-wide recorder
-  // on (enable-only, see PipelineConfig); the whole run and each executed
-  // stage become nested spans.
-  if (Ctx.config().TraceSpans)
-    obs::TraceRecorder::global().setEnabled(true);
+  // Observability: while the process-wide recorder is on, the whole run
+  // and each executed stage become nested spans.
   obs::TraceSpan RunSpan("pipeline.run", "pipeline");
   obs::MetricsRegistry &MR = obs::MetricsRegistry::global();
 

@@ -83,15 +83,6 @@ struct PipelineConfig {
   /// value, so this knob is deliberately absent from its cache key.
   unsigned ModelProfileThreads = 0;
 
-  /// Record structured trace spans (pipeline stages, loop passes, decode,
-  /// execution) into the process-wide obs::TraceRecorder during this run.
-  /// Enable-only: a run with the knob set switches the global recorder on
-  /// and leaves it on, so concurrent runs (the serve daemon) keep a
-  /// consistent recorder state. Drain with TraceRecorder::drainToFile —
-  /// the tools' --trace-out flag does both ends. Deliberately absent from
-  /// every stage cache key: tracing never changes results.
-  bool TraceSpans = false;
-
   /// A/B baseline for the analysis-preservation contract: when true, the
   /// transforming stages put their AnalysisManager into conservative mode
   /// (every invalidation behaves like invalidate-all — the pre-preservation

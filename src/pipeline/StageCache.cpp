@@ -251,8 +251,3 @@ size_t MemoryStageCache::entryCount() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Map.size();
 }
-
-size_t MemoryStageCache::byteSize() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Bytes;
-}

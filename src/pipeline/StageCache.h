@@ -148,7 +148,6 @@ public:
   StageCacheCounters counters() const override;
 
   size_t entryCount() const;
-  size_t byteSize() const;
 
 private:
   void insertLocked(const std::string &EntryName,

@@ -29,32 +29,6 @@ Value Interpreter::operandValue(const Operand &O) const {
   HELIX_UNREACHABLE("unknown operand kind");
 }
 
-Value Interpreter::regValue(unsigned Reg) const {
-  assert(!Ctx.Frames.empty() && "no active frame");
-  const ExecContext::Frame &Fr = Ctx.Frames.back();
-  assert(Reg < Fr.F->NumRegs && "register out of range");
-  return Ctx.frameRegs(Fr)[Reg];
-}
-
-Value Interpreter::loadSlot(uint64_t Addr) const {
-  if (Addr >= ExecStackBase) {
-    uint64_t Idx = Addr - ExecStackBase;
-    return Idx < Ctx.Stack.size() ? Ctx.Stack[Idx] : Value();
-  }
-  return Mem.load(Addr);
-}
-
-void Interpreter::storeSlot(uint64_t Addr, Value V) {
-  if (Addr >= ExecStackBase) {
-    uint64_t Idx = Addr - ExecStackBase;
-    if (Idx >= Ctx.Stack.size())
-      Ctx.Stack.resize(Idx + 1);
-    Ctx.Stack[Idx] = V;
-    return;
-  }
-  Mem.store(Addr, V);
-}
-
 ExecResult Interpreter::run(const std::string &Name,
                             const std::vector<Value> &Args) {
   ExecResult R;

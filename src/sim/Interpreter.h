@@ -59,13 +59,6 @@ public:
     return Prog->globalBase(Idx);
   }
 
-  /// Direct memory access (used by tests to inspect final state).
-  Value loadSlot(uint64_t Addr) const;
-  void storeSlot(uint64_t Addr, Value V);
-
-  /// Reads register \p Reg of the current frame.
-  Value regValue(unsigned Reg) const;
-
   /// The decoded program this interpreter runs.
   const ExecProgram &program() const { return *Prog; }
 

@@ -31,12 +31,6 @@ Value TreeWalkInterpreter::operandValue(const Operand &O) const {
   return evalOperand(Frames.back(), O);
 }
 
-Value TreeWalkInterpreter::regValue(unsigned Reg) const {
-  assert(!Frames.empty() && "no active frame");
-  assert(Reg < Frames.back().Regs.size() && "register out of range");
-  return Frames.back().Regs[Reg];
-}
-
 Value TreeWalkInterpreter::loadSlot(uint64_t Addr) const {
   if (Addr >= ExecStackBase) {
     uint64_t Idx = Addr - ExecStackBase;

@@ -55,9 +55,6 @@ public:
   Value loadSlot(uint64_t Addr) const;
   void storeSlot(uint64_t Addr, Value V);
 
-  /// Reads register \p Reg of the current frame.
-  Value regValue(unsigned Reg) const;
-
 private:
   struct Frame {
     const Function *F = nullptr;

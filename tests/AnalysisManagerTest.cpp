@@ -258,9 +258,8 @@ TEST(AnalysisManager, TransformPreservesOtherFunctionsAnalyses) {
   ASSERT_TRUE(parallelizeLoop(AM, K0, H0, Opts).has_value());
 
   // K0 was mutated: its analyses are gone. K1's survived every pass —
-  // schedule/signal-opt/balance rewrote K0's instructions but declared
-  // the structural analyses preserved, and wait-signal/lower invalidated
-  // K0 only.
+  // signal-opt rewrote K0's instructions but declared the structural
+  // analyses preserved, and wait-signal/lower invalidated K0 only.
   EXPECT_FALSE(AM.isCached<DominatorTree>(K0));
   EXPECT_TRUE(AM.isCached<DominatorTree>(K1));
   EXPECT_TRUE(AM.isCached<LoopInfo>(K1));

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -181,6 +183,42 @@ TEST(Trace, ChromeJsonIsWellFormed) {
   EXPECT_EQ(Back.getString("displayTimeUnit"), "ms");
 }
 
+TEST(Trace, DrainToFileWritesParseableChromeJson) {
+  obs::TraceRecorder R(64);
+  R.setEnabled(true);
+  {
+    obs::TraceSpan Outer("fuzz.case", "fuzz", R);
+    obs::TraceSpan Inner("pass:lower", "pass", R);
+  }
+  std::string Path = testing::TempDir() + "/helix-trace-test.json";
+  std::string Err;
+  ASSERT_TRUE(R.drainToFile(Path, &Err)) << Err;
+  EXPECT_TRUE(R.drain().empty()); // the file write drained the ring
+
+  std::ifstream In(Path);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  Json Doc;
+  ASSERT_TRUE(Json::parse(SS.str(), Doc, &Err)) << Err;
+  const Json *Events = Doc.find("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_EQ(Events->elements().size(), 2u);
+  std::vector<std::string> Names;
+  for (const Json &E : Events->elements()) {
+    EXPECT_EQ(E.getString("ph"), "X");
+    Names.push_back(E.getString("name") + "/" + E.getString("cat"));
+  }
+  std::sort(Names.begin(), Names.end());
+  EXPECT_EQ(Names, (std::vector<std::string>{"fuzz.case/fuzz",
+                                             "pass:lower/pass"}));
+  std::remove(Path.c_str());
+
+  // An unwritable path is reported, not ignored.
+  EXPECT_FALSE(R.drainToFile(testing::TempDir() + "/no-such-dir/t.json",
+                             &Err));
+  EXPECT_NE(Err.find("cannot open"), std::string::npos) << Err;
+}
+
 TEST(Trace, PipelineRunEmitsNestedStageAndPassSpans) {
   obs::TraceRecorder &R = obs::TraceRecorder::global();
   R.setEnabled(false);
@@ -188,9 +226,8 @@ TEST(Trace, PipelineRunEmitsNestedStageAndPassSpans) {
 
   std::unique_ptr<Module> M = buildSpecWorkload("art");
   Pipeline P = PipelineBuilder::standard();
-  PipelineConfig C;
-  C.TraceSpans = true; // the config knob enables the global recorder
-  PipelineContext Ctx(*M, C);
+  R.setEnabled(true);
+  PipelineContext Ctx(*M, PipelineConfig());
   ASSERT_TRUE(P.run(Ctx).Ok);
   R.setEnabled(false);
 

@@ -457,8 +457,8 @@ TEST(LoopPasses, StandardSequenceNamesAndOrder) {
   LoopPassManager PM;
   addStandardHelixLoopPasses(PM);
   const std::vector<std::string> Expected = {
-      "normalize", "dependence", "inline",     "characterize", "wait-signal",
-      "schedule",  "signal-opt", "lower",      "balance",      "finalize"};
+      "normalize",   "dependence", "inline", "characterize",
+      "wait-signal", "signal-opt", "lower",  "finalize"};
   EXPECT_EQ(PM.passNames(), Expected);
 }
 
@@ -517,7 +517,7 @@ TEST(LoopPasses, CustomPassCanBeComposed) {
   LoopPassManager PM;
   addStandardHelixLoopPasses(PM);
   PM.add(std::make_unique<CountingPass>(&Calls));
-  EXPECT_EQ(PM.size(), 11u);
+  EXPECT_EQ(PM.size(), 9u);
 
   auto M = tinyLoopModule();
   AnalysisManager AM(*M);
@@ -558,7 +558,7 @@ TEST(Instrumentation, TransformStageReportsPassTimings) {
   }
   for (const char *Expected :
        {"normalize", "dependence", "inline", "characterize", "wait-signal",
-        "schedule", "signal-opt", "lower", "balance", "finalize"})
+        "signal-opt", "lower", "finalize"})
     EXPECT_TRUE(Names.count(Expected)) << Expected;
 }
 

@@ -55,7 +55,6 @@ void usage() {
       "  --trace-out FILE   write Chrome trace_event JSON of per-file and\n"
       "                     per-pass spans at exit\n"
       "  --no-signal-opt    transform with Step 6 disabled\n"
-      "  --no-scheduling    transform with Step 5 scheduling disabled\n"
       "  --no-inlining      transform with Step 5 inlining disabled\n"
       "  -h, --help         this text\n");
 }
@@ -236,8 +235,6 @@ int main(int argc, char **argv) {
       DepsMode = true;
     } else if (A == "--no-signal-opt") {
       Opts.EnableSignalOpt = false;
-    } else if (A == "--no-scheduling") {
-      Opts.EnableScheduling = false;
     } else if (A == "--no-inlining") {
       Opts.EnableInlining = false;
     } else if (A == "--trace-out") {
